@@ -4,11 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <filesystem>
 
 #include "benchmarks/arithmetic.hpp"
 #include "core/endurance.hpp"
+#include "fault/array.hpp"
 #include "fault/fault.hpp"
+#include "fault/sweep.hpp"
 #include "flow/runner.hpp"
 #include "flow/suite.hpp"
 #include "mig/rewriting.hpp"
@@ -18,6 +21,7 @@
 #include "pass/seq.hpp"
 #include "plim/compiler.hpp"
 #include "plim/controller.hpp"
+#include "plim/kernel.hpp"
 #include "store/disk_store.hpp"
 #include "store/serialize.hpp"
 #include "util/codec.hpp"
@@ -113,6 +117,32 @@ void BM_CrossbarExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossbarExecute)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
+// The same programs on a fault::FaultArray (manufacturing stuck-at cells, no
+// endurance limit, so executions never stop), held in one Interpreter the
+// way a fault-sweep trial holds it: validated once, then executed per
+// iteration.
+void BM_CrossbarExecuteFault(benchmark::State& state) {
+  const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));
+  const auto compiled =
+      plim::PlimCompiler(plim::CompilerOptions{}).compile(graph);
+  fault::FaultProfile profile;
+  profile.logic.stuck_rate = 0.001;
+  profile.memory = profile.logic;
+  fault::FaultArray array(compiled.program.num_cells(), profile, 1);
+  plim::Interpreter interpreter(compiled.program, array);
+  util::Xoshiro256 rng(1);
+  std::vector<std::uint64_t> pi_values(graph.num_pis());
+  for (auto& word : pi_values) {
+    word = rng();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(interpreter.run(pi_values).data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(compiled.num_instructions()));
+}
+BENCHMARK(BM_CrossbarExecuteFault)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+
 void BM_MigSimulate(benchmark::State& state) {
   const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));
   util::Xoshiro256 rng(2);
@@ -140,6 +170,8 @@ BENCHMARK(BM_FullPipeline)->Unit(benchmark::kMillisecond);
 // Cost of the Monte-Carlo fault engine itself: K seeded trials over a
 // precompiled program, each replaying random inputs on a fresh FaultArray
 // until the first wrong output (the work a `fault=` config adds per job).
+// Items are program executions (each one 64 input vectors plus the
+// reference simulation), so the rate compares across trial counts.
 void BM_FaultSweep(benchmark::State& state) {
   const auto graph = adder_graph(16).cleanup();
   const auto config = core::make_config(core::Strategy::FullEndurance);
@@ -148,11 +180,17 @@ void BM_FaultSweep(benchmark::State& state) {
       "stuck",
       {{"rate", "0.001"}, {"endurance", "400"}, {"sigma", "0.3"},
        {"trials", std::to_string(state.range(0))}, {"runs", "300"}}});
+  // Every trial runs its correct executions plus the failing one, except
+  // censored trials, which stop at the cap.
+  const auto dist = fault::run_sweep(report.program, graph, sweep);
+  const auto executions =
+      std::llround(dist.lifetime_mean * static_cast<double>(dist.trials)) +
+      (dist.trials - dist.censored);
   for (auto _ : state) {
     benchmark::DoNotOptimize(fault::run_sweep(report.program, graph, sweep));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
+                          executions);
 }
 BENCHMARK(BM_FaultSweep)->Arg(3)->Arg(9)->Unit(benchmark::kMillisecond);
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "mig/simulate.hpp"
-#include "plim/controller.hpp"
+#include "plim/kernel.hpp"
 #include "plim/rram_array.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -34,28 +33,6 @@ LifetimeEstimate estimate_lifetime(const util::WriteStats& writes,
   return estimate;
 }
 
-std::uint64_t measured_executions_until_failure_on(plim::RramArray& array,
-                                                   const plim::Program& program,
-                                                   const mig::Mig& reference,
-                                                   std::uint64_t max_runs,
-                                                   std::uint64_t seed) {
-  require(program.pi_cells().size() == reference.num_pis() &&
-              program.po_cells().size() == reference.num_pos(),
-          "measured_executions_until_failure: profile mismatch");
-  util::Xoshiro256 rng(seed);
-  std::vector<std::uint64_t> pi_values(reference.num_pis());
-  for (std::uint64_t run = 0; run < max_runs; ++run) {
-    for (auto& word : pi_values) {
-      word = rng();
-    }
-    const auto actual = plim::evaluate(program, pi_values, &array);
-    if (actual != mig::simulate(reference, pi_values)) {
-      return run;
-    }
-  }
-  return max_runs;
-}
-
 std::uint64_t measured_executions_until_failure(const plim::Program& program,
                                                 const mig::Mig& reference,
                                                 std::uint64_t cell_endurance,
@@ -63,8 +40,7 @@ std::uint64_t measured_executions_until_failure(const plim::Program& program,
                                                 std::uint64_t seed) {
   plim::RramArray array(program.num_cells(),
                         plim::RramConfig{.endurance_limit = cell_endurance});
-  return measured_executions_until_failure_on(array, program, reference, max_runs,
-                                              seed);
+  return plim::executions_until_wrong(array, program, reference, max_runs, seed);
 }
 
 VariabilityStudy lifetime_under_variability(const plim::Program& program,
@@ -85,7 +61,7 @@ VariabilityStudy lifetime_under_variability(const plim::Program& program,
         plim::RramConfig{.endurance_limit = cell_endurance,
                          .endurance_sigma = endurance_sigma,
                          .variation_seed = util::mix_seed(seed, trial)});
-    study.lifetimes.push_back(measured_executions_until_failure_on(
+    study.lifetimes.push_back(plim::executions_until_wrong(
         array, program, reference, max_runs, util::mix_seed(~seed, trial)));
   }
   std::sort(study.lifetimes.begin(), study.lifetimes.end());

@@ -5,7 +5,6 @@
 
 #include "mig/mig.hpp"
 #include "plim/program.hpp"
-#include "plim/rram_array.hpp"
 #include "util/stats.hpp"
 
 namespace rlim::core {
@@ -37,12 +36,6 @@ struct LifetimeEstimate {
 [[nodiscard]] std::uint64_t measured_executions_until_failure(
     const plim::Program& program, const mig::Mig& reference,
     std::uint64_t cell_endurance, std::uint64_t max_runs, std::uint64_t seed);
-
-/// Same measurement on a caller-provided (possibly variability-configured,
-/// possibly pre-aged) array.
-[[nodiscard]] std::uint64_t measured_executions_until_failure_on(
-    plim::RramArray& array, const plim::Program& program,
-    const mig::Mig& reference, std::uint64_t max_runs, std::uint64_t seed);
 
 /// Monte-Carlo lifetime study under cell-to-cell endurance variability:
 /// `trials` arrays with log-normal per-cell limits (median `cell_endurance`,

@@ -26,13 +26,17 @@ FaultArray::FaultArray(plim::Cell num_cells, const FaultProfile& profile,
     : RramArray(num_cells + profile.spares, base_config(profile, seed)),
       profile_(profile),
       logical_(num_cells),
-      memory_cell_(std::move(memory_cells)),
+      drifts_(profile.logic.drift_rate > 0.0 || profile.memory.drift_rate > 0.0),
+      memory_cell_(num_cells, 0),
       stuck_(num_cells + profile.spares, 0),
       forward_(num_cells),
       next_spare_(num_cells),
       rng_(util::mix_seed(seed, kFaultSalt)) {
-  require(memory_cell_.empty() || memory_cell_.size() == num_cells,
+  require(memory_cells.empty() || memory_cells.size() == num_cells,
           "FaultArray: memory_cells mask must cover every logical cell");
+  for (std::size_t cell = 0; cell < memory_cells.size(); ++cell) {
+    memory_cell_[cell] = memory_cells[cell] ? 1 : 0;
+  }
   for (plim::Cell cell = 0; cell < logical_; ++cell) {
     forward_[cell] = cell;
   }
@@ -53,13 +57,6 @@ void FaultArray::check_logical(plim::Cell cell) const {
   require(cell < logical_, "FaultArray: logical cell index out of range");
 }
 
-const RegionProfile& FaultArray::region_of(plim::Cell cell) const {
-  if (!memory_cell_.empty() && memory_cell_[cell]) {
-    return profile_.memory;
-  }
-  return profile_.logic;
-}
-
 bool FaultArray::try_remap(plim::Cell cell) {
   if (profile_.repair != Repair::Remap) {
     return false;
@@ -74,63 +71,6 @@ bool FaultArray::try_remap(plim::Cell cell) {
     }
   }
   return false;
-}
-
-std::uint64_t FaultArray::read(plim::Cell cell) const {
-  check_logical(cell);
-  const auto phys = forward_[cell];
-  const auto& st = state(phys);
-  if (stuck_[phys] != 0) {
-    return st.value;  // stuck cells hold their value; drift cannot move them
-  }
-  const auto& region = region_of(cell);
-  if (region.drift_rate > 0.0 && rng_.uniform01() < region.drift_rate) {
-    // Resistance drift flips one of the 64 simulation lanes, persistently:
-    // the disturbed value is what every later read returns.
-    const auto flipped = st.value ^ (1ULL << rng_.below(64));
-    const_cast<FaultArray*>(this)->state(phys).value = flipped;
-    ++disturbed_;
-    return flipped;
-  }
-  return st.value;
-}
-
-void FaultArray::write(plim::Cell cell, std::uint64_t value) {
-  check_logical(cell);
-  auto phys = forward_[cell];
-  if (stuck_[phys] != 0 || hard_failed(state(phys))) {
-    if (!try_remap(cell)) {
-      ++dropped_;
-      return;
-    }
-    phys = forward_[cell];
-  }
-  auto& st = state(phys);
-  const auto& region = region_of(cell);
-  st.writes += region.wear_per_write;
-  // Cycle-to-cycle variability: the pulse wears the cell but fails to latch.
-  if (region.write_fail_rate > 0.0 && rng_.uniform01() < region.write_fail_rate) {
-    return;
-  }
-  st.value = value;
-  if (region.wear_stuck_rate > 0.0 && rng_.uniform01() < region.wear_stuck_rate) {
-    stuck_[phys] = 1;  // early wear-out: stuck at the value just written
-  }
-}
-
-void FaultArray::preload(plim::Cell cell, std::uint64_t value) {
-  check_logical(cell);
-  auto phys = forward_[cell];
-  if (stuck_[phys] != 0 || hard_failed(state(phys))) {
-    // The memory controller repairs resident data the same way it repairs
-    // program writes; without repair the preload is dropped.
-    if (!try_remap(cell)) {
-      ++dropped_;
-      return;
-    }
-    phys = forward_[cell];
-  }
-  state(phys).value = value;  // uncounted: data already resident
 }
 
 bool FaultArray::is_failed(plim::Cell cell) const {

@@ -5,8 +5,7 @@
 #include <vector>
 
 #include "fault/array.hpp"
-#include "mig/simulate.hpp"
-#include "plim/controller.hpp"
+#include "plim/kernel.hpp"
 #include "sched/sched.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -41,23 +40,10 @@ TrialOutcome run_trial(const plim::Program& program, const mig::Mig& reference,
                        std::uint32_t trial) {
   FaultArray array(program.num_cells(), spec.profile,
                    util::mix_seed(spec.seed, trial), memory_cells);
-  util::Xoshiro256 inputs(
-      util::mix_seed(util::mix_seed(spec.seed, kInputSalt), trial));
-
-  std::vector<std::uint64_t> pi_values(program.pi_cells().size());
-  std::uint64_t correct_runs = 0;
-  for (; correct_runs < spec.runs; ++correct_runs) {
-    for (auto& word : pi_values) {
-      word = inputs();
-    }
-    const auto got = plim::evaluate(program, pi_values, &array);
-    if (got != mig::simulate(reference, pi_values)) {
-      break;
-    }
-  }
-
   TrialOutcome outcome;
-  outcome.lifetime = correct_runs;
+  outcome.lifetime = plim::executions_until_wrong(
+      array, program, reference, spec.runs,
+      util::mix_seed(util::mix_seed(spec.seed, kInputSalt), trial));
   outcome.failed_cells = static_cast<std::uint64_t>(array.failed_cell_count());
   outcome.remapped = array.remapped_count();
   outcome.dropped_writes = array.dropped_writes();

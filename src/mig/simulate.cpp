@@ -1,42 +1,60 @@
 #include "mig/simulate.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace rlim::mig {
 
-std::vector<std::uint64_t> simulate_nodes(const Mig& mig,
-                                          std::span<const std::uint64_t> pi_values) {
+namespace {
+
+std::uint64_t word_of(const std::vector<std::uint64_t>& values, Signal s) {
+  return values[s.index()] ^ (0ULL - static_cast<std::uint64_t>(s.is_complemented()));
+}
+
+void fill_nodes(const Mig& mig, std::span<const std::uint64_t> pi_values,
+                std::vector<std::uint64_t>& values) {
   require(pi_values.size() == mig.num_pis(),
           "simulate_nodes: PI value count mismatch");
-  std::vector<std::uint64_t> values(mig.num_nodes(), 0);
-  for (std::uint32_t pi = 0; pi < mig.num_pis(); ++pi) {
-    values[pi + 1] = pi_values[pi];
+  values.resize(mig.num_nodes());
+  values[0] = 0;
+  std::copy(pi_values.begin(), pi_values.end(), values.begin() + 1);
+  auto gate = mig.first_gate();
+  for (const auto& fanin : mig.gate_fanins()) {
+    const auto a = word_of(values, fanin[0]);
+    const auto b = word_of(values, fanin[1]);
+    const auto c = word_of(values, fanin[2]);
+    values[gate++] = (a & b) | (a & c) | (b & c);
   }
-  const auto value_of = [&](Signal s) {
-    const auto word = values[s.index()];
-    return s.is_complemented() ? ~word : word;
-  };
-  for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
-    const auto& fanin = mig.fanins(gate);
-    const auto a = value_of(fanin[0]);
-    const auto b = value_of(fanin[1]);
-    const auto c = value_of(fanin[2]);
-    values[gate] = (a & b) | (a & c) | (b & c);
-  }
+}
+
+}  // namespace
+
+std::vector<std::uint64_t> simulate_nodes(const Mig& mig,
+                                          std::span<const std::uint64_t> pi_values) {
+  std::vector<std::uint64_t> values;
+  fill_nodes(mig, pi_values, values);
   return values;
+}
+
+void simulate_into(const Mig& mig, std::span<const std::uint64_t> pi_values,
+                   std::vector<std::uint64_t>& node_values,
+                   std::vector<std::uint64_t>& po_values) {
+  fill_nodes(mig, pi_values, node_values);
+  const auto pos = mig.pos();
+  po_values.resize(pos.size());
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    po_values[i] = word_of(node_values, pos[i]);
+  }
 }
 
 std::vector<std::uint64_t> simulate(const Mig& mig,
                                     std::span<const std::uint64_t> pi_values) {
-  const auto values = simulate_nodes(mig, pi_values);
-  std::vector<std::uint64_t> result;
-  result.reserve(mig.num_pos());
-  for (const auto po : mig.pos()) {
-    const auto word = values[po.index()];
-    result.push_back(po.is_complemented() ? ~word : word);
-  }
-  return result;
+  std::vector<std::uint64_t> node_values;
+  std::vector<std::uint64_t> po_values;
+  simulate_into(mig, pi_values, node_values, po_values);
+  return po_values;
 }
 
 std::uint64_t exhaustive_pattern(std::uint32_t pi, std::uint64_t chunk) {

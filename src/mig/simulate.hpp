@@ -20,6 +20,13 @@ std::vector<std::uint64_t> simulate_nodes(const Mig& mig,
 std::vector<std::uint64_t> simulate(const Mig& mig,
                                     std::span<const std::uint64_t> pi_values);
 
+/// simulate() into caller-owned scratch: `node_values` is resized to
+/// num_nodes() and `po_values` to num_pos(), so buffers reused across calls
+/// allocate only on the first one.
+void simulate_into(const Mig& mig, std::span<const std::uint64_t> pi_values,
+                   std::vector<std::uint64_t>& node_values,
+                   std::vector<std::uint64_t>& po_values);
+
 /// PI word patterns for exhaustive simulation: chunk `chunk` of variable `pi`
 /// out of 2^num_pis rows, 64 rows per chunk. Variables 0..5 use the classic
 /// alternating masks; higher variables are constant per chunk.

@@ -1,37 +1,39 @@
 #include "plim/controller.hpp"
 
-#include "mig/simulate.hpp"
+#include <string>
+
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace rlim::plim {
 
-void PlimController::start(const Program& program) {
+void check_fits(const Program& program, Cell logical_cells) {
   program.validate();
-  require(program.num_cells() <= array_->size(),
-          "PlimController: program does not fit the array");
+  require(program.num_cells() <= logical_cells,
+          "plim: program needs " + std::to_string(program.num_cells()) +
+              " cells but the array has " + std::to_string(logical_cells) +
+              " logical cells");
+}
+
+void PlimController::start(const Program& program) {
+  check_fits(program, array_->logical_size());
   program_ = &program;
   pc_ = 0;
   state_ = program.size() == 0 ? State::Done : State::Running;
 }
 
 void PlimController::execute(RramArray& array, const Instruction& instruction) {
-  const auto resolve = [&](Operand operand) -> std::uint64_t {
-    if (operand.is_constant()) {
-      return operand.constant_value() ? ~0ULL : 0ULL;
-    }
-    return array.read(operand.cell_index());
+  const auto in_range = [&array](Operand operand) {
+    return operand.is_constant() || operand.cell_index() < array.size();
   };
-  const auto a = resolve(instruction.a);
-  const auto not_b = ~resolve(instruction.b);
-  const auto z = array.read(instruction.z);
-  // Z ← ⟨A B̄ Z⟩
-  array.write(instruction.z, (a & not_b) | (a & z) | (not_b & z));
+  require(in_range(instruction.a) && in_range(instruction.b) &&
+              instruction.z < array.size(),
+          "PlimController::execute: operand outside the array");
+  execute_unchecked(array, instruction);
 }
 
 bool PlimController::step() {
   require(state_ == State::Running, "PlimController::step: not running");
-  execute(*array_, program_->instructions()[pc_]);
+  execute_unchecked(*array_, program_->instructions()[pc_]);
   ++pc_;
   if (pc_ == program_->size()) {
     state_ = State::Done;
@@ -56,27 +58,9 @@ std::size_t PlimController::run(const Program& program) {
 }
 
 std::vector<std::uint64_t> evaluate(const Program& program,
-                                    std::span<const std::uint64_t> pi_values,
-                                    RramArray* array) {
-  require(pi_values.size() == program.pi_cells().size(),
-          "evaluate: PI value count mismatch");
-  RramArray local(program.num_cells());
-  RramArray& target = array != nullptr ? *array : local;
-  if (array != nullptr) {
-    require(target.size() >= program.num_cells(), "evaluate: array too small");
-    target.reset_values();
-  }
-  for (std::size_t i = 0; i < pi_values.size(); ++i) {
-    target.preload(program.pi_cells()[i], pi_values[i]);
-  }
-  PlimController controller(target);
-  controller.run(program);
-  std::vector<std::uint64_t> result;
-  result.reserve(program.po_cells().size());
-  for (const auto cell : program.po_cells()) {
-    result.push_back(target.read(cell));
-  }
-  return result;
+                                    std::span<const std::uint64_t> pi_values) {
+  RramArray array(program.num_cells());
+  return evaluate(program, pi_values, array);
 }
 
 bool program_matches_mig(const Program& program, const mig::Mig& mig,
@@ -85,17 +69,10 @@ bool program_matches_mig(const Program& program, const mig::Mig& mig,
       program.po_cells().size() != mig.num_pos()) {
     return false;
   }
-  util::Xoshiro256 rng(seed);
-  std::vector<std::uint64_t> pi_values(mig.num_pis());
-  for (unsigned round = 0; round < rounds; ++round) {
-    for (auto& word : pi_values) {
-      word = rng();
-    }
-    if (evaluate(program, pi_values) != mig::simulate(mig, pi_values)) {
-      return false;
-    }
-  }
-  return true;
+  // A plain array has no endurance model, so every round is a fresh
+  // execution: the check is the run-until-wrong loop surviving all rounds.
+  RramArray array(program.num_cells());
+  return executions_until_wrong(array, program, mig, rounds, seed) == rounds;
 }
 
 }  // namespace rlim::plim

@@ -32,30 +32,6 @@ void RramArray::check(Cell cell) const {
   require(cell < cells_.size(), "RramArray: cell index out of range");
 }
 
-std::uint64_t RramArray::read(Cell cell) const {
-  check(cell);
-  return cells_[cell].value;
-}
-
-void RramArray::write(Cell cell, std::uint64_t value) {
-  check(cell);
-  auto& state = cells_[cell];
-  if (hard_failed(state)) {
-    return;  // stuck at last value; wear counter also saturates
-  }
-  state.value = value;
-  ++state.writes;
-}
-
-void RramArray::preload(Cell cell, std::uint64_t value) {
-  check(cell);
-  auto& state = cells_[cell];
-  if (hard_failed(state)) {
-    return;  // stuck cells ignore uncounted writes too
-  }
-  state.value = value;
-}
-
 std::uint64_t RramArray::write_count(Cell cell) const {
   check(cell);
   return cells_[cell].writes;

@@ -33,33 +33,65 @@ struct RramConfig {
 /// dropped, which makes failure observable as wrong program outputs rather
 /// than a crash.
 ///
-/// The mutating entry points and the failure predicate are virtual so fault
-/// models (fault::FaultArray) can overlay stuck-at cells, read disturbance,
-/// write variability, and spare-cell remapping while remaining a drop-in
-/// array for the controller and `plim::evaluate`.
+/// Cell access comes in two forms with one behaviour. `read`/`write`/
+/// `preload` check the index and throw rlim::Error when it is out of range.
+/// The `*_unchecked` forms skip the check; they are for the interpreter
+/// kernel (plim/kernel.hpp), which validates a program against the array
+/// once and then drives it op by op. Fault models (fault::FaultArray) build
+/// on this class privately and supply their own access; the kernel is a
+/// template over the concrete array type.
 class RramArray {
 public:
   explicit RramArray(Cell num_cells, RramConfig config = {});
-  virtual ~RramArray() = default;
 
   [[nodiscard]] Cell size() const { return static_cast<Cell>(cells_.size()); }
+  /// Cells a program may address: all of them on a plain array.
+  [[nodiscard]] Cell logical_size() const { return size(); }
 
-  [[nodiscard]] virtual std::uint64_t read(Cell cell) const;
+  [[nodiscard]] std::uint64_t read(Cell cell) const {
+    check(cell);
+    return read_unchecked(cell);
+  }
 
   /// Counted write (wears the cell; dropped once the cell has failed).
-  virtual void write(Cell cell, std::uint64_t value);
+  void write(Cell cell, std::uint64_t value) {
+    check(cell);
+    write_unchecked(cell, value);
+  }
 
   /// Uncounted write: models data that is already resident (primary inputs)
   /// or an external initialization outside the program's write traffic.
   /// A failed cell is stuck for uncounted writes too — the preload is
   /// dropped and the cell keeps its last value.
-  virtual void preload(Cell cell, std::uint64_t value);
+  void preload(Cell cell, std::uint64_t value) {
+    check(cell);
+    preload_unchecked(cell, value);
+  }
+
+  [[nodiscard]] std::uint64_t read_unchecked(Cell cell) const {
+    return cells_[cell].value;
+  }
+  void write_unchecked(Cell cell, std::uint64_t value) {
+    auto& state = cells_[cell];
+    if (hard_failed(state)) {
+      return;  // stuck at last value; wear counter also saturates
+    }
+    state.value = value;
+    ++state.writes;
+  }
+  void preload_unchecked(Cell cell, std::uint64_t value) {
+    auto& state = cells_[cell];
+    if (hard_failed(state)) {
+      return;  // stuck cells ignore uncounted writes too
+    }
+    state.value = value;
+  }
 
   [[nodiscard]] std::uint64_t write_count(Cell cell) const;
   [[nodiscard]] std::vector<std::uint64_t> write_counts() const;
 
-  [[nodiscard]] virtual bool is_failed(Cell cell) const;
-  [[nodiscard]] virtual std::size_t failed_cell_count() const;
+  [[nodiscard]] bool is_failed(Cell cell) const;
+  [[nodiscard]] std::size_t failed_cell_count() const;
 
   /// Effective endurance limit of a cell under the variability model;
   /// nullopt when the endurance model is disabled (the cell is unlimited).
@@ -73,7 +105,7 @@ public:
 
   /// Clears values but keeps accumulated wear (a fresh execution on an aged
   /// array). Failed cells are stuck and keep their last value even here.
-  virtual void reset_values();
+  void reset_values();
 
   [[nodiscard]] util::WriteStats stats() const;
 
@@ -86,9 +118,8 @@ protected:
 
   void check(Cell cell) const;
 
-  /// Direct cell-state access for fault-model subclasses, which keep their
-  /// own logical→physical mapping and must not bounce through the virtual
-  /// public API with already-translated indices.
+  /// Direct cell-state access for fault models, which keep their own
+  /// logical→physical mapping and address this state by physical index.
   [[nodiscard]] CellState& state(Cell cell) { return cells_[cell]; }
   [[nodiscard]] const CellState& state(Cell cell) const { return cells_[cell]; }
 

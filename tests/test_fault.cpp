@@ -4,6 +4,9 @@
 #include <bit>
 #include <set>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "core/endurance.hpp"
 #include "core/registry.hpp"
@@ -11,7 +14,9 @@
 #include "fault/fault.hpp"
 #include "fault/sweep.hpp"
 #include "plim/allocator.hpp"
+#include "plim/compiler.hpp"
 #include "plim/controller.hpp"
+#include "plim/kernel.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -240,6 +245,145 @@ TEST(FaultArray, RejectsBadMemoryMask) {
   EXPECT_THROW(fault::FaultArray(4, {}, 1, std::vector<bool>(3, false)), Error);
 }
 
+// The base is private: code written for a plain array cannot take a fault
+// array and silently run without its fault model.
+static_assert(!std::is_convertible_v<fault::FaultArray*, plim::RramArray*>);
+static_assert(plim::CrossbarArray<fault::FaultArray>);
+
+TEST(FaultArray, ProgramWiderThanTheLogicalSpaceIsRejectedUpFront) {
+  // 4 logical cells backed by 8 physical ones (4 spares). A 6-cell program
+  // fits the physical array but not the logical space it addresses: the
+  // pairing must be refused before anything is preloaded, read or worn.
+  fault::FaultProfile profile;
+  profile.repair = fault::Repair::Remap;
+  profile.spares = 4;
+  fault::FaultArray array(4, profile, 1);
+  ASSERT_EQ(array.physical_size(), 8u);
+  plim::Program program;
+  program.bind_pi(0);
+  program.append(plim::make_write_const(false, 1));  // in range, comes first
+  program.append(plim::make_copy_step(0, 5));        // beyond logical cell 3
+  program.bind_po(5);
+  const std::vector<std::uint64_t> pis{42};
+  EXPECT_THROW((void)plim::evaluate(program, pis, array), Error);
+  EXPECT_THROW(plim::Interpreter<fault::FaultArray>(program, array), Error);
+  EXPECT_EQ(array.write_counts(), std::vector<std::uint64_t>(8, 0));
+  EXPECT_EQ(array.remapped_count(), 0u);
+  EXPECT_EQ(array.dropped_writes(), 0u);
+}
+
+// ---- kernel vs. a reference interpreter ------------------------------------
+
+/// Test-local reference interpreter: one execution through the public,
+/// checked array API, op by op, in the documented access order.
+template <class Array>
+std::vector<std::uint64_t> reference_run(Array& array,
+                                         const plim::Program& program,
+                                         const std::vector<std::uint64_t>& pis) {
+  array.reset_values();
+  for (std::size_t i = 0; i < pis.size(); ++i) {
+    array.preload(program.pi_cells()[i], pis[i]);
+  }
+  const auto operand = [&array](plim::Operand op) -> std::uint64_t {
+    if (op.is_constant()) {
+      return op.constant_value() ? ~0ULL : 0ULL;
+    }
+    return array.read(op.cell_index());
+  };
+  for (const auto& instruction : program.instructions()) {
+    const auto a = operand(instruction.a);
+    const auto not_b = ~operand(instruction.b);
+    const auto z = array.read(instruction.z);
+    array.write(instruction.z, (a & not_b) | (a & z) | (not_b & z));
+  }
+  std::vector<std::uint64_t> pos;
+  for (const auto cell : program.po_cells()) {
+    pos.push_back(array.read(cell));
+  }
+  return pos;
+}
+
+TEST(FaultKernel, MatchesTheReferenceInterpreterOnEveryModel) {
+  const auto graph = test::random_mig(73, 8, 70, 4);
+  const auto program =
+      plim::PlimCompiler(plim::CompilerOptions{}).compile(graph).program;
+  std::vector<bool> memory(program.num_cells(), false);
+  for (const auto cell : program.pi_cells()) {
+    memory[cell] = true;
+  }
+  const std::vector<util::PolicySpec> specs = {
+      {"stuck", {{"rate", "0.02"}, {"wear_rate", "0.0005"}, {"endurance", "40"}}},
+      {"stuck",
+       {{"rate", "0.02"}, {"wear_rate", "0.0005"}, {"endurance", "40"},
+        {"sigma", "0.4"}, {"repair", "remap"}, {"spares", "12"}}},
+      {"drift", {{"rate", "0.01"}}},
+      {"variation", {{"fail_rate", "0.01"}, {"endurance", "60"}}},
+      {"mixed",
+       {{"mem_rate", "0.02"}, {"logic_rate", "0.05"}, {"endurance", "50"},
+        {"repair", "remap"}, {"spares", "6"}}},
+  };
+  constexpr int kExecutions = 40;
+  std::uint64_t dropped = 0;
+  std::uint64_t disturbed = 0;
+  std::uint64_t remapped = 0;
+  for (const auto& spec : specs) {
+    SCOPED_TRACE(spec.canonical());
+    const auto profile = fault::make_sweep(spec).profile;
+    fault::FaultArray kernel_array(program.num_cells(), profile, 5, memory);
+    fault::FaultArray reference_array(program.num_cells(), profile, 5, memory);
+    plim::Interpreter interpreter(program, kernel_array);
+    util::Xoshiro256 inputs(17);
+    std::vector<std::uint64_t> pis(program.pi_cells().size());
+    for (int run = 0; run < kExecutions; ++run) {
+      for (auto& word : pis) {
+        word = inputs();
+      }
+      const auto got = interpreter.run(pis);
+      const auto want = reference_run(reference_array, program, pis);
+      ASSERT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), want)
+          << "execution " << run;
+    }
+    EXPECT_EQ(kernel_array.write_counts(), reference_array.write_counts());
+    EXPECT_EQ(kernel_array.dropped_writes(), reference_array.dropped_writes());
+    EXPECT_EQ(kernel_array.disturbed_reads(), reference_array.disturbed_reads());
+    EXPECT_EQ(kernel_array.remapped_count(), reference_array.remapped_count());
+    EXPECT_EQ(kernel_array.failed_cell_count(),
+              reference_array.failed_cell_count());
+    dropped += kernel_array.dropped_writes();
+    disturbed += kernel_array.disturbed_reads();
+    remapped += kernel_array.remapped_count();
+  }
+  // The models must actually fire, or the comparison proves nothing.
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(disturbed, 0u);
+  EXPECT_GT(remapped, 0u);
+}
+
+TEST(FaultKernel, MatchesTheReferenceInterpreterOnAPlainArray) {
+  const auto graph = test::random_mig(79, 8, 70, 4);
+  const auto program =
+      plim::PlimCompiler(plim::CompilerOptions{}).compile(graph).program;
+  const plim::RramConfig config{.endurance_limit = 30,
+                                .endurance_sigma = 0.5,
+                                .variation_seed = 3};
+  plim::RramArray kernel_array(program.num_cells(), config);
+  plim::RramArray reference_array(program.num_cells(), config);
+  plim::Interpreter interpreter(program, kernel_array);
+  util::Xoshiro256 inputs(19);
+  std::vector<std::uint64_t> pis(program.pi_cells().size());
+  for (int run = 0; run < 40; ++run) {
+    for (auto& word : pis) {
+      word = inputs();
+    }
+    const auto got = interpreter.run(pis);
+    ASSERT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()),
+              reference_run(reference_array, program, pis))
+        << "execution " << run;
+  }
+  EXPECT_EQ(kernel_array.write_counts(), reference_array.write_counts());
+  EXPECT_EQ(kernel_array.failed_cell_count(), reference_array.failed_cell_count());
+}
+
 // ---- allocator decorators --------------------------------------------------
 
 TEST(FaultDecorators, RetireDropsWornCells) {
@@ -398,6 +542,96 @@ TEST(FaultSweep, RunSweepRejectsDisabledSpecs) {
   EXPECT_THROW(
       (void)fault::run_sweep(report.program, graph.cleanup(), fault::SweepSpec{}),
       Error);
+}
+
+
+// ---- golden distributions --------------------------------------------------
+//
+// Exact distributions for one fixed program and seed per fault model,
+// recorded from the original per-operand interpreter. Same-binary replay
+// tests cannot see a changed fault RNG draw order (per instruction: read A,
+// B, Z, then write Z; PI preloads before the program, PO reads after it);
+// these values move as soon as it changes.
+
+fault::LifetimeDistribution golden(std::uint64_t min, std::uint64_t p50,
+                                   std::uint64_t p99, std::uint64_t max,
+                                   double mean, std::uint64_t failed_min,
+                                   std::uint64_t failed_max, double failed_mean,
+                                   std::uint64_t remapped,
+                                   std::uint64_t dropped) {
+  return {.trials = 6,
+          .runs_cap = 300,
+          .censored = 0,
+          .lifetime_min = min,
+          .lifetime_p50 = p50,
+          .lifetime_p99 = p99,
+          .lifetime_max = max,
+          .lifetime_mean = mean,
+          .failed_cells_min = failed_min,
+          .failed_cells_max = failed_max,
+          .failed_cells_mean = failed_mean,
+          .remapped_total = remapped,
+          .dropped_writes = dropped};
+}
+
+TEST(FaultGolden, DistributionsArePinned) {
+  const auto graph = test::random_mig(71, 8, 70, 4);
+  const auto program =
+      plim::PlimCompiler(plim::CompilerOptions{}).compile(graph).program;
+  const util::Params common = {{"seed", "9"}, {"trials", "6"}, {"runs", "300"}};
+  const auto with_common = [&](util::Params params) {
+    params.insert(common.begin(), common.end());
+    return params;
+  };
+  const util::Params stuck = {{"rate", "0.01"},
+                              {"wear_rate", "0.00002"},
+                              {"endurance", "900"},
+                              {"sigma", "0.3"}};
+  auto stuck_remap = stuck;
+  stuck_remap.insert({{"repair", "remap"}, {"spares", "16"}});
+
+  const std::vector<std::tuple<util::PolicySpec, fault::LifetimeDistribution>>
+      cases = {
+          {{"stuck", with_common(stuck)},
+           golden(34, 71, 82, 82, 62.333333333333336, 1, 1, 1, 0, 26)},
+          {{"stuck", with_common(stuck_remap)},
+           golden(224, 249, 276, 276, 242.16666666666666, 17, 17, 17, 95, 25)},
+          {{"drift", with_common({{"rate", "0.0002"}, {"endurance", "0"}})},
+           golden(7, 56, 246, 246, 77.5, 0, 0, 0, 0, 0)},
+          {{"variation",
+            with_common({{"fail_rate", "0.0002"},
+                         {"endurance", "1500"},
+                         {"sigma", "0.5"}})},
+           golden(16, 61, 88, 88, 54.833333333333336, 0, 1, 0.33333333333333331,
+                  0, 7)},
+          {{"mixed",
+            with_common({{"mem_rate", "0.01"},
+                         {"logic_rate", "0.02"},
+                         {"logic_wear", "2"},
+                         {"endurance", "1500"},
+                         {"repair", "remap"},
+                         {"spares", "8"}})},
+           golden(125, 150, 150, 150, 141.66666666666666, 9, 10,
+                  9.6666666666666661, 47, 92)},
+      };
+  for (const auto& [spec, expected] : cases) {
+    const auto got = fault::run_sweep(program, graph, fault::make_sweep(spec));
+    SCOPED_TRACE(spec.canonical());
+    EXPECT_EQ(got.trials, expected.trials);
+    EXPECT_EQ(got.runs_cap, expected.runs_cap);
+    EXPECT_EQ(got.censored, expected.censored);
+    EXPECT_EQ(got.lifetime_min, expected.lifetime_min);
+    EXPECT_EQ(got.lifetime_p50, expected.lifetime_p50);
+    EXPECT_EQ(got.lifetime_p99, expected.lifetime_p99);
+    EXPECT_EQ(got.lifetime_max, expected.lifetime_max);
+    EXPECT_EQ(got.lifetime_mean, expected.lifetime_mean);
+    EXPECT_EQ(got.failed_cells_min, expected.failed_cells_min);
+    EXPECT_EQ(got.failed_cells_max, expected.failed_cells_max);
+    EXPECT_EQ(got.failed_cells_mean, expected.failed_cells_mean);
+    EXPECT_EQ(got.remapped_total, expected.remapped_total);
+    EXPECT_EQ(got.dropped_writes, expected.dropped_writes);
+    EXPECT_EQ(got, expected);  // no field left unpinned
+  }
 }
 
 }  // namespace

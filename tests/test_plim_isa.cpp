@@ -71,6 +71,18 @@ TEST(Rm3, ComplementCopyIdiom) {
   EXPECT_EQ(array.read(1), ~0xdeadbeefULL);
 }
 
+TEST(Rm3, ExecuteRejectsOperandsOutsideTheArray) {
+  RramArray array(2);
+  EXPECT_THROW(PlimController::execute(
+                   array, Instruction{Operand::cell(2), Operand::constant(false), 0}),
+               Error);
+  EXPECT_THROW(PlimController::execute(
+                   array, Instruction{Operand::constant(true), Operand::cell(7), 1}),
+               Error);
+  EXPECT_THROW(PlimController::execute(array, make_write_const(true, 2)), Error);
+  EXPECT_EQ(array.write_counts(), (std::vector<std::uint64_t>{0, 0}));
+}
+
 TEST(RramArray, WriteCountsAndPreload) {
   RramArray array(4);
   array.write(2, 7);
@@ -350,9 +362,9 @@ TEST(Evaluate, AccumulatesWearAcrossRuns) {
   program.bind_po(1);
   RramArray array(program.num_cells());
   const std::vector<std::uint64_t> pis{0};
-  evaluate(program, pis, &array);
-  evaluate(program, pis, &array);
-  evaluate(program, pis, &array);
+  evaluate(program, pis, array);
+  evaluate(program, pis, array);
+  evaluate(program, pis, array);
   EXPECT_EQ(array.write_count(1), 3u);
 }
 
@@ -372,7 +384,7 @@ TEST(Evaluate, DynamicWearMatchesStaticAccounting) {
   const std::vector<std::uint64_t> pis{0x12345678, 0x9abcdef0};
   const auto static_counts = program.static_write_counts();
   for (int run = 1; run <= 3; ++run) {
-    evaluate(program, pis, &array);
+    evaluate(program, pis, array);
     for (Cell cell = 0; cell < program.num_cells(); ++cell) {
       ASSERT_EQ(array.write_count(cell),
                 static_cast<std::uint64_t>(run) * static_counts[cell])
