@@ -6,8 +6,11 @@
 
 #include <cmath>
 #include <filesystem>
+#include <map>
+#include <string>
 
 #include "benchmarks/arithmetic.hpp"
+#include "benchmarks/suite.hpp"
 #include "core/endurance.hpp"
 #include "fault/array.hpp"
 #include "fault/fault.hpp"
@@ -41,6 +44,16 @@ const mig::Mig& adder_graph(unsigned bits) {
   return it->second;
 }
 
+/// A paper-profile suite graph by name, built once.
+const mig::Mig& paper_graph(const std::string& name) {
+  static std::map<std::string, mig::Mig> cache;
+  auto it = cache.find(name);
+  if (it == cache.end()) {
+    it = cache.emplace(name, bench::find_benchmark(name).build()).first;
+  }
+  return it->second;
+}
+
 void BM_RewritePlim21(benchmark::State& state) {
   const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
@@ -63,21 +76,31 @@ BENCHMARK(BM_RewriteEndurance)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // Same pass list as BM_RewriteEndurance, driven through the pass manager —
 // the delta between the two is the per-pass telemetry + dispatch overhead.
-void BM_PassPipeline(benchmark::State& state) {
+void run_pass_pipeline(benchmark::State& state, const mig::Mig& graph) {
   pass::ensure_registered();
   const auto manager =
       pass::make_manager(pass::alias_passes(mig::RewriteKind::Endurance));
-  const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(manager.run(graph, 2));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           graph.num_gates());
 }
+
+void BM_PassPipeline(benchmark::State& state) {
+  run_pass_pipeline(state, adder_graph(static_cast<unsigned>(state.range(0))));
+}
 BENCHMARK(BM_PassPipeline)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
-void BM_Compile(benchmark::State& state) {
-  const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));
+// The same pipeline on a paper-profile suite graph (div: ~56k gates), where
+// most pass positions fire nothing after the first cycle.
+void BM_PassPipelinePaper(benchmark::State& state, const char* name) {
+  run_pass_pipeline(state, paper_graph(name));
+}
+BENCHMARK_CAPTURE(BM_PassPipelinePaper, div, "div")
+    ->Unit(benchmark::kMillisecond);
+
+void run_compile(benchmark::State& state, const mig::Mig& graph) {
   const plim::PlimCompiler compiler(
       {plim::SelectionPolicy::EnduranceAware, plim::AllocPolicy::MinWrite, {}});
   for (auto _ : state) {
@@ -86,7 +109,16 @@ void BM_Compile(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           graph.num_gates());
 }
+
+void BM_Compile(benchmark::State& state) {
+  run_compile(state, adder_graph(static_cast<unsigned>(state.range(0))));
+}
 BENCHMARK(BM_Compile)->Arg(16)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+
+void BM_CompilePaper(benchmark::State& state, const char* name) {
+  run_compile(state, paper_graph(name));
+}
+BENCHMARK_CAPTURE(BM_CompilePaper, div, "div")->Unit(benchmark::kMillisecond);
 
 void BM_CompileNaive(benchmark::State& state) {
   const auto& graph = adder_graph(static_cast<unsigned>(state.range(0)));

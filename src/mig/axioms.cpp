@@ -1,9 +1,12 @@
 #include "mig/axioms.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <initializer_list>
 #include <optional>
 #include <span>
+#include <vector>
 
 namespace rlim::mig {
 
@@ -60,6 +63,101 @@ private:
   std::vector<bool> mapped_;
 };
 
+/// Which gates a pass visits. On a graph without dead gates (the common case
+/// after the flows' initial cleanup) every gate is live and the reachability
+/// walk is skipped.
+class Liveness {
+public:
+  explicit Liveness(const Mig& mig) : any_dead_(mig.has_dead_gates()) {
+    if (any_dead_) {
+      reachable_ = mig.reachable_from_pos();
+    }
+  }
+
+  [[nodiscard]] bool operator()(std::uint32_t gate) const {
+    return !any_dead_ || reachable_[gate];
+  }
+  [[nodiscard]] bool any_dead() const { return any_dead_; }
+
+private:
+  bool any_dead_;
+  std::vector<bool> reachable_;
+};
+
+/// The rewrites one pass decided on, in ascending gate order. A plan claims
+/// its gate and the child gates it absorbs, so plans never overlap. The claim
+/// bits are allocated on the first plan: a pass that plans nothing allocates
+/// nothing per node.
+template <typename Plan>
+class Plans {
+public:
+  struct Entry {
+    std::uint32_t gate;
+    Plan plan;
+  };
+
+  explicit Plans(std::uint32_t num_nodes) : num_nodes_(num_nodes) {}
+
+  [[nodiscard]] bool claimed(std::uint32_t node) const {
+    return !claimed_.empty() && claimed_[node];
+  }
+
+  void add(std::uint32_t gate, const Plan& plan,
+           std::initializer_list<std::uint32_t> absorbed) {
+    if (claimed_.empty()) {
+      claimed_.assign(num_nodes_, false);
+    }
+    claimed_[gate] = true;
+    for (const auto child : absorbed) {
+      claimed_[child] = true;
+    }
+    entries_.push_back(Entry{gate, plan});
+  }
+
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+
+private:
+  std::uint32_t num_nodes_;
+  std::vector<bool> claimed_;
+  std::vector<Entry> entries_;
+};
+
+/// Common loop of the planning passes. `match(gate, plans)` inspects one
+/// live, unclaimed gate and may add a plan for it; `apply(rebuild, plan)`
+/// builds a planned gate's replacement in the fresh graph. Returns the
+/// number of plans (the pass's rule firings).
+template <typename Plan, typename Match, typename Apply>
+std::size_t plan_and_rebuild(Mig& mig, Match match, Apply apply) {
+  const Liveness live(mig);
+  Plans<Plan> plans(mig.num_nodes());
+  for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
+    if (live(gate) && !plans.claimed(gate)) {
+      match(gate, plans);
+    }
+  }
+  const auto& entries = plans.entries();
+  if (entries.empty() && !live.any_dead()) {
+    return 0;  // identity: nothing fires and there is no dead logic to drop
+  }
+
+  Rebuilder rebuild(mig);
+  auto next = entries.begin();
+  for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
+    if (!live(gate)) {
+      continue;
+    }
+    if (next != entries.end() && next->gate == gate) {
+      rebuild.set_map(gate, apply(rebuild, next->plan));
+      ++next;
+    } else if (!plans.claimed(gate)) {  // claimed, unplanned gates are absorbed
+      rebuild.rebuild_default(gate);
+    }
+  }
+  const auto applications = entries.size();
+  mig = rebuild.finish();
+  return applications;
+}
+
 /// Trivial Ω.M simplification oracle for a candidate triple (no graph access).
 bool triple_simplifies(Signal a, Signal b, Signal c) {
   return a == b || a == !b || a == c || a == !c || b == c || b == !c;
@@ -76,42 +174,59 @@ int noncost_complements(std::span<const Signal> fanins) {
   return count;
 }
 
-}  // namespace
-
-PassResult pass_majority(const Mig& mig) {
-  const auto reachable = mig.reachable_from_pos();
-  Rebuilder rebuild(mig);
-  for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
-    if (reachable[gate]) {
-      rebuild.rebuild_default(gate);
+/// The two signals of a gate's fanin triple other than `u`, or nullopt when
+/// `u` is not among them.
+std::optional<std::array<Signal, 2>> others(const std::array<Signal, 3>& fanin,
+                                            Signal u) {
+  std::array<Signal, 2> rest{};
+  std::size_t count = 0;
+  for (const auto s : fanin) {
+    if (s != u) {
+      if (count == 2) {
+        return std::nullopt;  // u is not a fanin
+      }
+      rest[count++] = s;
     }
   }
-  auto fresh = rebuild.finish();
-  const auto removed = mig.num_gates() >= fresh.num_gates()
-                           ? mig.num_gates() - fresh.num_gates()
-                           : 0;
-  return PassResult{std::move(fresh), removed};
+  if (count != 2) {
+    return std::nullopt;  // u appears more than once (cannot happen after Ω.M)
+  }
+  return rest;
 }
 
-PassResult pass_distributivity_rl(const Mig& mig) {
-  const auto reachable = mig.reachable_from_pos();
-  const auto fanouts = mig.fanout_counts();
+/// Ω.A swap plan shared by associativity and level balancing:
+/// ⟨x u ⟨y u z⟩⟩ → ⟨z u ⟨y u x⟩⟩.
+struct SwapPlan {
+  Signal y, u, x, z;  // new inner = ⟨y u x⟩, new outer = ⟨z u inner⟩
+};
 
+Signal apply_swap(Rebuilder& rebuild, const SwapPlan& plan) {
+  auto& fresh = rebuild.fresh();
+  const auto inner = fresh.create_maj(rebuild.remap(plan.y), rebuild.remap(plan.u),
+                                      rebuild.remap(plan.x));
+  return fresh.create_maj(rebuild.remap(plan.z), rebuild.remap(plan.u), inner);
+}
+
+}  // namespace
+
+std::size_t pass_majority(Mig& mig) {
+  if (!mig.has_dead_gates()) {
+    return 0;
+  }
+  const auto before = mig.num_gates();
+  mig = mig.cleanup();
+  return before - mig.num_gates();
+}
+
+std::size_t pass_distributivity_rl(Mig& mig) {
   struct Plan {
     Signal x, y, u, v, z;
   };
-  std::vector<std::optional<Plan>> plans(mig.num_nodes());
-  std::vector<bool> used(mig.num_nodes(), false);
-  std::vector<bool> absorbed(mig.num_nodes(), false);
-  std::size_t applications = 0;
-
-  for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
-    if (!reachable[gate] || used[gate]) {
-      continue;
-    }
+  const auto fanouts = mig.fanout_counts();
+  const auto match = [&](std::uint32_t gate, Plans<Plan>& plans) {
     const auto& fanin = mig.fanins(gate);
-    for (int i = 0; i < 3 && !plans[gate]; ++i) {
-      for (int j = i + 1; j < 3 && !plans[gate]; ++j) {
+    for (int i = 0; i < 3; ++i) {
+      for (int j = i + 1; j < 3; ++j) {
         const auto si = fanin[i];
         const auto sj = fanin[j];
         const auto gi = si.index();
@@ -122,7 +237,8 @@ PassResult pass_distributivity_rl(const Mig& mig) {
         if (si.is_complemented() != sj.is_complemented()) {
           continue;
         }
-        if (fanouts[gi] != 1 || fanouts[gj] != 1 || used[gi] || used[gj]) {
+        if (fanouts[gi] != 1 || fanouts[gj] != 1 || plans.claimed(gi) ||
+            plans.claimed(gj)) {
           continue;
         }
         const bool flip = si.is_complemented();
@@ -132,18 +248,20 @@ PassResult pass_distributivity_rl(const Mig& mig) {
           effective_i[k] = mig.fanins(gi)[k] ^ flip;
           effective_j[k] = mig.fanins(gj)[k] ^ flip;
         }
-        // Intersect the effective fanin sets (each holds 3 distinct signals).
-        std::vector<Signal> common;
+        // Intersect the effective fanin sets (each holds 3 distinct signals,
+        // and the two sets differ, so at most 2 are common).
+        std::array<Signal, 2> common{};
+        std::size_t num_common = 0;
         std::optional<Signal> only_i;
         std::optional<Signal> only_j;
         for (const auto s : effective_i) {
           if (std::find(effective_j.begin(), effective_j.end(), s) != effective_j.end()) {
-            common.push_back(s);
+            common[num_common++] = s;
           } else {
             only_i = s;
           }
         }
-        if (common.size() != 2 || !only_i) {
+        if (num_common != 2 || !only_i) {
           continue;
         }
         for (const auto s : effective_j) {
@@ -153,187 +271,125 @@ PassResult pass_distributivity_rl(const Mig& mig) {
         }
         assert(only_j);
         const auto z = fanin[3 - i - j];
-        plans[gate] = Plan{common[0], common[1], *only_i, *only_j, z};
-        used[gate] = used[gi] = used[gj] = true;
-        absorbed[gi] = absorbed[gj] = true;
-        ++applications;
+        plans.add(gate, Plan{common[0], common[1], *only_i, *only_j, z}, {gi, gj});
+        return;
       }
     }
-  }
-
-  Rebuilder rebuild(mig);
-  for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
-    if (!reachable[gate] || absorbed[gate]) {
-      continue;
-    }
-    if (const auto& plan = plans[gate]) {
-      auto& fresh = rebuild.fresh();
-      const auto inner = fresh.create_maj(rebuild.remap(plan->u), rebuild.remap(plan->v),
-                                          rebuild.remap(plan->z));
-      rebuild.set_map(gate, fresh.create_maj(rebuild.remap(plan->x),
-                                             rebuild.remap(plan->y), inner));
-    } else {
-      rebuild.rebuild_default(gate);
-    }
-  }
-  return PassResult{rebuild.finish(), applications};
+  };
+  const auto apply = [](Rebuilder& rebuild, const Plan& plan) {
+    auto& fresh = rebuild.fresh();
+    const auto inner = fresh.create_maj(rebuild.remap(plan.u), rebuild.remap(plan.v),
+                                        rebuild.remap(plan.z));
+    return fresh.create_maj(rebuild.remap(plan.x), rebuild.remap(plan.y), inner);
+  };
+  return plan_and_rebuild<Plan>(mig, match, apply);
 }
 
-PassResult pass_associativity(const Mig& mig) {
-  const auto reachable = mig.reachable_from_pos();
+std::size_t pass_associativity(Mig& mig) {
   const auto fanouts = mig.fanout_counts();
-
-  struct Plan {
-    Signal y, u, x, z;  // new inner = ⟨y u x⟩, new outer = ⟨z u inner⟩
-  };
-  std::vector<std::optional<Plan>> plans(mig.num_nodes());
-  std::vector<bool> used(mig.num_nodes(), false);
-  std::vector<bool> absorbed(mig.num_nodes(), false);
-  std::size_t applications = 0;
-
-  for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
-    if (!reachable[gate] || used[gate]) {
-      continue;
-    }
+  const auto match = [&](std::uint32_t gate, Plans<SwapPlan>& plans) {
     const auto& fanin = mig.fanins(gate);
-    for (int k = 0; k < 3 && !plans[gate]; ++k) {
+    for (int k = 0; k < 3; ++k) {
       const auto child_ref = fanin[k];
       const auto child = child_ref.index();
       if (!mig.is_gate(child) || child_ref.is_complemented() ||
-          fanouts[child] != 1 || used[child]) {
+          fanouts[child] != 1 || plans.claimed(child)) {
         continue;
       }
       const std::array<Signal, 2> outer_rest{fanin[(k + 1) % 3], fanin[(k + 2) % 3]};
-      const auto& inner = mig.fanins(child);
-      for (int uo = 0; uo < 2 && !plans[gate]; ++uo) {
+      for (int uo = 0; uo < 2; ++uo) {
         const auto u = outer_rest[uo];
         const auto x = outer_rest[1 - uo];
-        const auto u_pos = std::find(inner.begin(), inner.end(), u);
-        if (u_pos == inner.end()) {
+        const auto inner_rest = others(mig.fanins(child), u);
+        if (!inner_rest) {
           continue;
         }
-        std::vector<Signal> inner_rest;
-        for (const auto s : inner) {
-          if (s != u) {
-            inner_rest.push_back(s);
-          }
-        }
-        if (inner_rest.size() != 2) {
-          continue;  // u appears more than once (cannot happen after Ω.M)
-        }
-        for (int zo = 0; zo < 2 && !plans[gate]; ++zo) {
-          const auto z = inner_rest[zo];   // moved out
-          const auto y = inner_rest[1 - zo];
+        for (int zo = 0; zo < 2; ++zo) {
+          const auto z = (*inner_rest)[zo];  // moved out
+          const auto y = (*inner_rest)[1 - zo];
           // A strash hit only helps when it shares an *existing* gate — a hit
           // on the inner gate being rewritten is a degenerate no-op match.
           const auto hit = mig.find_maj(y, u, x);
           const bool shares = hit && hit->index() != child;
           if (triple_simplifies(y, u, x) || shares) {
-            plans[gate] = Plan{y, u, x, z};
-            used[gate] = used[child] = true;
-            absorbed[child] = true;
-            ++applications;
+            plans.add(gate, SwapPlan{y, u, x, z}, {child});
+            return;
           }
         }
       }
     }
-  }
-
-  Rebuilder rebuild(mig);
-  for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
-    if (!reachable[gate] || absorbed[gate]) {
-      continue;
-    }
-    if (const auto& plan = plans[gate]) {
-      auto& fresh = rebuild.fresh();
-      const auto inner = fresh.create_maj(rebuild.remap(plan->y), rebuild.remap(plan->u),
-                                          rebuild.remap(plan->x));
-      rebuild.set_map(gate, fresh.create_maj(rebuild.remap(plan->z),
-                                             rebuild.remap(plan->u), inner));
-    } else {
-      rebuild.rebuild_default(gate);
-    }
-  }
-  return PassResult{rebuild.finish(), applications};
+  };
+  return plan_and_rebuild<SwapPlan>(mig, match, apply_swap);
 }
 
-PassResult pass_comp_assoc(const Mig& mig) {
-  const auto reachable = mig.reachable_from_pos();
-  const auto fanouts = mig.fanout_counts();
-
+std::size_t pass_comp_assoc(Mig& mig) {
   struct Plan {
     Signal x, u;                  // outer fanins kept
     std::array<Signal, 3> inner;  // new inner fanins (x̄ replaced by u)
   };
-  std::vector<std::optional<Plan>> plans(mig.num_nodes());
-  std::vector<bool> used(mig.num_nodes(), false);
-  std::vector<bool> absorbed(mig.num_nodes(), false);
-  std::size_t applications = 0;
-
-  for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
-    if (!reachable[gate] || used[gate]) {
-      continue;
-    }
+  const auto fanouts = mig.fanout_counts();
+  const auto match = [&](std::uint32_t gate, Plans<Plan>& plans) {
     const auto& fanin = mig.fanins(gate);
-    for (int k = 0; k < 3 && !plans[gate]; ++k) {
+    for (int k = 0; k < 3; ++k) {
       const auto child_ref = fanin[k];
       const auto child = child_ref.index();
       if (!mig.is_gate(child) || child_ref.is_complemented() ||
-          fanouts[child] != 1 || used[child]) {
+          fanouts[child] != 1 || plans.claimed(child)) {
         continue;
       }
       const std::array<Signal, 2> outer_rest{fanin[(k + 1) % 3], fanin[(k + 2) % 3]};
       const auto& inner = mig.fanins(child);
-      for (int xo = 0; xo < 2 && !plans[gate]; ++xo) {
+      for (int xo = 0; xo < 2; ++xo) {
         const auto x = outer_rest[xo];
         const auto u = outer_rest[1 - xo];
-        const auto match = std::find(inner.begin(), inner.end(), !x);
-        if (match == inner.end()) {
+        const auto complement_of_x = std::find(inner.begin(), inner.end(), !x);
+        if (complement_of_x == inner.end()) {
           continue;
         }
         std::array<Signal, 3> replaced = inner;
-        replaced[static_cast<std::size_t>(match - inner.begin())] = u;
+        replaced[static_cast<std::size_t>(complement_of_x - inner.begin())] = u;
         const auto hit = mig.find_maj(replaced[0], replaced[1], replaced[2]);
         const bool exists = hit && hit->index() != child;
         const bool fewer_complements =
             noncost_complements(replaced) < noncost_complements(inner);
         if (exists || fewer_complements) {
-          plans[gate] = Plan{x, u, replaced};
-          used[gate] = used[child] = true;
-          absorbed[child] = true;
-          ++applications;
+          plans.add(gate, Plan{x, u, replaced}, {child});
+          return;
         }
       }
     }
-  }
-
-  Rebuilder rebuild(mig);
-  for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
-    if (!reachable[gate] || absorbed[gate]) {
-      continue;
-    }
-    if (const auto& plan = plans[gate]) {
-      auto& fresh = rebuild.fresh();
-      const auto inner =
-          fresh.create_maj(rebuild.remap(plan->inner[0]), rebuild.remap(plan->inner[1]),
-                           rebuild.remap(plan->inner[2]));
-      rebuild.set_map(gate, fresh.create_maj(rebuild.remap(plan->x),
-                                             rebuild.remap(plan->u), inner));
-    } else {
-      rebuild.rebuild_default(gate);
-    }
-  }
-  return PassResult{rebuild.finish(), applications};
+  };
+  const auto apply = [](Rebuilder& rebuild, const Plan& plan) {
+    auto& fresh = rebuild.fresh();
+    const auto inner =
+        fresh.create_maj(rebuild.remap(plan.inner[0]), rebuild.remap(plan.inner[1]),
+                         rebuild.remap(plan.inner[2]));
+    return fresh.create_maj(rebuild.remap(plan.x), rebuild.remap(plan.u), inner);
+  };
+  return plan_and_rebuild<Plan>(mig, match, apply);
 }
 
 namespace {
 
-PassResult flip_pass(const Mig& mig, int min_complements) {
-  const auto reachable = mig.reachable_from_pos();
+/// Ω.I flip of every gate with at least `min_complements` complemented
+/// non-constant fanins, seen through the rebuild map (so flips cascade).
+/// With no such gate in the input the map stays the identity and nothing
+/// fires, which is why the scan over the stored complement counts suffices.
+std::size_t flip_pass(Mig& mig, int min_complements) {
+  const Liveness live(mig);
+  if (!live.any_dead()) {
+    bool any = false;
+    for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes() && !any; ++gate) {
+      any = mig.complement_count(gate) >= min_complements;
+    }
+    if (!any) {
+      return 0;
+    }
+  }
   Rebuilder rebuild(mig);
   std::size_t applications = 0;
   for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
-    if (!reachable[gate]) {
+    if (!live(gate)) {
       continue;
     }
     const auto& fanin = mig.fanins(gate);
@@ -351,89 +407,50 @@ PassResult flip_pass(const Mig& mig, int min_complements) {
                       rebuild.fresh().create_maj(mapped[0], mapped[1], mapped[2]));
     }
   }
-  return PassResult{rebuild.finish(), applications};
+  mig = rebuild.finish();
+  return applications;
 }
 
 }  // namespace
 
-PassResult pass_inv_reduce(const Mig& mig) { return flip_pass(mig, 2); }
+std::size_t pass_inv_reduce(Mig& mig) { return flip_pass(mig, 2); }
 
-PassResult pass_inv_three(const Mig& mig) { return flip_pass(mig, 3); }
+std::size_t pass_inv_three(Mig& mig) { return flip_pass(mig, 3); }
 
-PassResult pass_level_balance(const Mig& mig) {
-  const auto reachable = mig.reachable_from_pos();
+std::size_t pass_level_balance(Mig& mig) {
   const auto fanouts = mig.fanout_counts();
   const auto levels = mig.levels();
-
-  struct Plan {
-    Signal y, u, x, z;  // new inner = ⟨y u x⟩, new outer = ⟨z u inner⟩
-  };
-  std::vector<std::optional<Plan>> plans(mig.num_nodes());
-  std::vector<bool> used(mig.num_nodes(), false);
-  std::vector<bool> absorbed(mig.num_nodes(), false);
-  std::size_t applications = 0;
-
-  for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
-    if (!reachable[gate] || used[gate]) {
-      continue;
-    }
+  const auto match = [&](std::uint32_t gate, Plans<SwapPlan>& plans) {
     const auto& fanin = mig.fanins(gate);
-    for (int k = 0; k < 3 && !plans[gate]; ++k) {
+    for (int k = 0; k < 3; ++k) {
       const auto child_ref = fanin[k];
       const auto child = child_ref.index();
       if (!mig.is_gate(child) || child_ref.is_complemented() ||
-          fanouts[child] != 1 || used[child]) {
+          fanouts[child] != 1 || plans.claimed(child)) {
         continue;
       }
       const std::array<Signal, 2> outer_rest{fanin[(k + 1) % 3], fanin[(k + 2) % 3]};
-      const auto& inner = mig.fanins(child);
-      for (int uo = 0; uo < 2 && !plans[gate]; ++uo) {
+      for (int uo = 0; uo < 2; ++uo) {
         const auto u = outer_rest[uo];
         const auto x = outer_rest[1 - uo];
-        if (std::find(inner.begin(), inner.end(), u) == inner.end()) {
-          continue;
-        }
-        std::vector<Signal> inner_rest;
-        for (const auto s : inner) {
-          if (s != u) {
-            inner_rest.push_back(s);
-          }
-        }
-        if (inner_rest.size() != 2) {
+        const auto inner_rest = others(mig.fanins(child), u);
+        if (!inner_rest) {
           continue;
         }
         // Move the deeper inner operand out when it beats the outer one:
         // its path through this cone shortens by one level.
-        const auto deeper =
-            levels[inner_rest[0].index()] >= levels[inner_rest[1].index()] ? 0 : 1;
-        const auto z = inner_rest[deeper];
-        const auto y = inner_rest[1 - deeper];
+        const auto& rest = *inner_rest;
+        const auto deeper = levels[rest[0].index()] >= levels[rest[1].index()] ? 0 : 1;
+        const auto z = rest[deeper];
+        const auto y = rest[1 - deeper];
         if (levels[z.index()] > levels[x.index()]) {
-          plans[gate] = Plan{y, u, x, z};
-          used[gate] = used[child] = true;
-          absorbed[child] = true;
-          ++applications;
+          plans.add(gate, SwapPlan{y, u, x, z}, {child});
+          return;
         }
       }
     }
-  }
-
-  Rebuilder rebuild(mig);
-  for (std::uint32_t gate = mig.first_gate(); gate < mig.num_nodes(); ++gate) {
-    if (!reachable[gate] || absorbed[gate]) {
-      continue;
-    }
-    if (const auto& plan = plans[gate]) {
-      auto& fresh = rebuild.fresh();
-      const auto inner = fresh.create_maj(rebuild.remap(plan->y), rebuild.remap(plan->u),
-                                          rebuild.remap(plan->x));
-      rebuild.set_map(gate, fresh.create_maj(rebuild.remap(plan->z),
-                                             rebuild.remap(plan->u), inner));
-    } else {
-      rebuild.rebuild_default(gate);
-    }
-  }
-  return PassResult{rebuild.finish(), applications};
+  };
+  return plan_and_rebuild<SwapPlan>(mig, match, apply_swap);
 }
 
 }  // namespace rlim::mig

@@ -6,45 +6,48 @@
 
 namespace rlim::mig {
 
-/// Result of one axiom pass. Every pass rebuilds the graph (dropping dead
-/// logic) and is functionally equivalence-preserving by construction; the
-/// property test suite re-verifies this by simulation.
-struct PassResult {
-  Mig mig;
-  std::size_t applications = 0;  ///< number of rule firings (pass-specific)
-};
+// Every axiom pass rewrites its graph in place and returns the number of rule
+// firings. A pass first finds its candidates. When nothing fires and the
+// graph has no dead gates, it leaves the graph untouched: every stored gate
+// already has sorted, non-trivial, strashed fanins, so rebuilding it would
+// give back the same graph. Otherwise the pass rebuilds the graph, dropping
+// dead logic. All passes are equivalence-preserving by construction; the
+// property test suite re-verifies this by simulation.
 
-/// Ω.M — majority / complementary-fanin simplification plus re-strashing.
-/// `applications` = number of gates eliminated.
-PassResult pass_majority(const Mig& mig);
+/// Ω.M — dead-gate removal plus re-strashing. `create_maj` already applies
+/// the trivial Ω.M rules (duplicate and complementary fanin pairs, constant
+/// folding) when a gate is built, so no stored gate can simplify further:
+/// this pass is exactly `Mig::cleanup()` and returns the number of dead gates
+/// removed (0 on a graph without dead gates, which it leaves untouched).
+std::size_t pass_majority(Mig& mig);
 
 /// Ω.D (right→left) — ⟨⟨xyu⟩⟨xyv⟩z⟩ → ⟨xy⟨uvz⟩⟩ when the two child gates
 /// share exactly two (effective) fanins and are both single-fanout; saves one
 /// gate per firing. The both-children-complemented variant is matched through
 /// the Ω.I flip of the childrens' effective fanins.
-PassResult pass_distributivity_rl(const Mig& mig);
+std::size_t pass_distributivity_rl(Mig& mig);
 
 /// Ω.A — ⟨xu⟨yuz⟩⟩ = ⟨zu⟨yux⟩⟩, applied when the swapped inner gate
 /// simplifies trivially or already exists (sharing); reshapes the graph and
 /// exposes further Ω.M / Ω.D reductions.
-PassResult pass_associativity(const Mig& mig);
+std::size_t pass_associativity(Mig& mig);
 
 /// Ψ.C (complementary associativity) — ⟨x u ⟨y x̄ z⟩⟩ = ⟨x u ⟨y u z⟩⟩,
 /// applied when the new inner gate already exists or when it lowers the
 /// inner gate's complemented-fanin count. Part of the original PLiM flow
 /// (Algorithm 1) only — the endurance-aware flow drops it because removing a
 /// *single* complemented edge destroys the RM3-ideal pattern.
-PassResult pass_comp_assoc(const Mig& mig);
+std::size_t pass_comp_assoc(Mig& mig);
 
 /// Ω.I (right→left, variants 1–3) [19] — gates with two or three
 /// complemented non-constant fanins are flipped (⟨x̄ȳz̄⟩ = ¬⟨xyz⟩ and the
 /// 2-complement corollaries), pushing the complement to the fanout edges and
 /// normalizing toward the RM3-ideal of at most one complemented fanin.
-PassResult pass_inv_reduce(const Mig& mig);
+std::size_t pass_inv_reduce(Mig& mig);
 
 /// Ω.I (right→left) — only the fully complemented case ⟨x̄ȳz̄⟩ → ¬⟨xyz⟩
 /// ("costly nodes with three inverted children", paper Algorithm 2 step 9).
-PassResult pass_inv_three(const Mig& mig);
+std::size_t pass_inv_three(Mig& mig);
 
 /// Level balancing via Ω.A — the paper's closing §III-B.4 suggestion
 /// ("the issue of blocked RRAMs could be considered as an objective during
@@ -54,6 +57,6 @@ PassResult pass_inv_three(const Mig& mig);
 /// fanout level gaps. The paper predicts (and bench/ablation_level_rewriting
 /// measures) that this trades instruction count for shorter storage
 /// durations.
-PassResult pass_level_balance(const Mig& mig);
+std::size_t pass_level_balance(Mig& mig);
 
 }  // namespace rlim::mig

@@ -297,6 +297,11 @@ std::vector<bool> Mig::reachable_from_pos() const {
   return reachable;
 }
 
+bool Mig::has_dead_gates() const {
+  return std::find(fanout_counts_.begin() + first_gate(), fanout_counts_.end(),
+                   0u) != fanout_counts_.end();
+}
+
 Mig Mig::cleanup() const {
   Mig fresh;
   fresh.reserve(num_pis_, num_gates(), num_pos());

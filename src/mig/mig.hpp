@@ -56,8 +56,8 @@ private:
 /// Node 0 is the constant-0 node; primary inputs follow (they must all be
 /// created before the first gate); majority gates come last. Because gates
 /// can only reference already-existing nodes and are never mutated in place,
-/// the node array is always topologically sorted — every rewriting pass
-/// produces a fresh graph.
+/// the node array is always topologically sorted — a rewriting pass that
+/// changes the graph builds a fresh one.
 ///
 /// `create_maj` applies the trivial Ω.M rules (duplicate or complementary
 /// fanin pairs, which also covers constant folding) and structural hashing
@@ -156,14 +156,15 @@ public:
   // ---- analysis ------------------------------------------------------------
 
   /// Per-node reference count: fanin references from gates plus PO references.
-  [[nodiscard]] std::vector<std::uint32_t> fanout_counts() const { return fanout_counts_; }
+  /// A view into the graph, valid until the graph is next modified.
+  [[nodiscard]] std::span<const std::uint32_t> fanout_counts() const { return fanout_counts_; }
 
   /// Per-node list of referencing gate indices (PO references not included).
   [[nodiscard]] std::vector<std::vector<std::uint32_t>> fanout_lists() const;
 
   /// Topological levels: constant and PIs are level 0; a gate is
-  /// 1 + max(level of fanins).
-  [[nodiscard]] std::vector<std::uint32_t> levels() const { return levels_; }
+  /// 1 + max(level of fanins). A view, valid until the graph is next modified.
+  [[nodiscard]] std::span<const std::uint32_t> levels() const { return levels_; }
 
   /// Depth = maximum level over PO-driving nodes.
   [[nodiscard]] std::uint32_t depth() const;
@@ -177,6 +178,12 @@ public:
 
   /// Gate nodes reachable from the POs (dead gates excluded).
   [[nodiscard]] std::vector<bool> reachable_from_pos() const;
+
+  /// True when some gate is unreachable from the POs. One scan of the fanout
+  /// counts: nodes only reference earlier nodes, so the highest-indexed dead
+  /// gate has no fanout at all, and every gate with fanout is live once all
+  /// gates above it are.
+  [[nodiscard]] bool has_dead_gates() const;
 
   /// Rebuilds the graph keeping only PO-reachable logic (re-strashed and
   /// re-simplified; PI/PO profile and names preserved).

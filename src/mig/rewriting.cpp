@@ -42,7 +42,7 @@ namespace {
 /// aliases name the steps identically.
 struct FlowStep {
   std::string_view name;
-  PassResult (*fn)(const Mig&);
+  std::size_t (*fn)(Mig&);
 };
 
 constexpr FlowStep kMaj{"maj", pass_majority};
@@ -74,12 +74,11 @@ Mig run_flow(const Mig& mig, std::span<const FlowStep> steps, int effort,
       const auto pass_edges = current.complement_edge_count();
       const auto pass_depth = current.depth();
       const auto started = std::chrono::steady_clock::now();
-      auto result = steps[i].fn(current);
+      const auto applications = steps[i].fn(current);
       const auto finished = std::chrono::steady_clock::now();
-      cycle_applications += result.applications;
-      current = std::move(result.mig);
+      cycle_applications += applications;
       ++slot.runs;
-      slot.applications += result.applications;
+      slot.applications += applications;
       slot.gate_delta += static_cast<std::int64_t>(current.num_gates()) -
                          static_cast<std::int64_t>(pass_gates);
       slot.complement_delta +=

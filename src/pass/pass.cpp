@@ -12,52 +12,30 @@ namespace rlim::pass {
 
 namespace {
 
-/// Built-in passes wrap the mig axiom functions: every axiom pass rebuilds
-/// the graph and reports its rule firings, which is exactly the Pass
-/// contract.
+/// A mig axiom pass: rewrites the graph in place, returns its rule firings.
+using AxiomFn = std::size_t (*)(mig::Mig&);
+
+/// Built-in passes wrap the mig axiom functions, whose contract is exactly
+/// the Pass contract.
 class AxiomPass final : public Pass {
 public:
-  AxiomPass(std::string_view name, mig::PassResult (*fn)(const mig::Mig&),
-            util::Params params)
+  AxiomPass(std::string_view name, AxiomFn fn, util::Params params)
       : name_(name), fn_(fn), params_(std::move(params)) {}
 
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] const util::Params& params() const override { return params_; }
 
   void run(mig::Mig& graph, PassStats& stats) const override {
-    auto result = fn_(graph);
-    stats.applications += result.applications;
-    graph = std::move(result.mig);
+    stats.applications += fn_(graph);
   }
 
 private:
   std::string_view name_;
-  mig::PassResult (*fn_)(const mig::Mig&);
+  AxiomFn fn_;
   util::Params params_;
 };
 
-/// Dead-node elimination + re-strash; `applications` = gates removed.
-class CleanupPass final : public Pass {
-public:
-  explicit CleanupPass(util::Params params) : params_(std::move(params)) {}
-
-  [[nodiscard]] std::string_view name() const override { return "cleanup"; }
-  [[nodiscard]] const util::Params& params() const override { return params_; }
-
-  void run(mig::Mig& graph, PassStats& stats) const override {
-    const auto before = graph.num_gates();
-    graph = graph.cleanup();
-    if (graph.num_gates() < before) {
-      stats.applications += before - graph.num_gates();
-    }
-  }
-
-private:
-  util::Params params_;
-};
-
-PassFactory axiom_factory(std::string_view name,
-                          mig::PassResult (*fn)(const mig::Mig&)) {
+PassFactory axiom_factory(std::string_view name, AxiomFn fn) {
   return [name, fn](const util::Params& params) -> PassPtr {
     return std::make_shared<AxiomPass>(name, fn, params);
   };
@@ -68,7 +46,10 @@ PassFactory axiom_factory(std::string_view name,
 util::Registry<PassFactory>& passes() {
   static auto* registry = [] {
     auto* reg = new util::Registry<PassFactory>("rewriting pass");
-    reg->add({"maj", "Ω.M — majority-axiom local rules + re-strashing", {}},
+    reg->add({"maj",
+              "Ω.M — dead-gate removal + re-strashing (construction already "
+              "applies the majority rules)",
+              {}},
              axiom_factory("maj", mig::pass_majority));
     reg->add({"dist", "Ω.D (R→L) — distributivity, merges shared child gates",
               {}},
@@ -97,10 +78,10 @@ util::Registry<PassFactory>& passes() {
               "§III-B.4 objective",
               {}},
              axiom_factory("relief", mig::pass_level_balance));
+    // Ω.M on a graph built by create_maj removes exactly the dead gates, so
+    // `cleanup` and `maj` share one implementation under two keys.
     reg->add({"cleanup", "dead-node elimination + re-strash", {}},
-             [](const util::Params& params) -> PassPtr {
-               return std::make_shared<CleanupPass>(params);
-             });
+             axiom_factory("cleanup", mig::pass_majority));
     return reg;
   }();
   return *registry;

@@ -42,7 +42,7 @@ using PassFactory = std::function<PassPtr(const util::Params&)>;
 
 /// Registry of rewriting passes, keyed like every other policy registry
 /// (`rlim policies` lists it as the `pass` kind). Built-ins:
-///   maj      Ω.M majority-axiom local rules
+///   maj      Ω.M dead-gate removal (construction applies the Ω.M rules)
 ///   dist     Ω.D (R→L) distributivity
 ///   assoc    Ω.A associativity-rebalance
 ///   comp     Ψ.C complement-canonicalize (complementary associativity)

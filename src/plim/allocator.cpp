@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "util/enum_names.hpp"
 #include "util/error.hpp"
@@ -84,26 +86,30 @@ private:
   Cell cursor_ = 0;
 };
 
-/// The paper's minimum write count strategy: least-written free cell first.
-/// Counts cannot change while a cell is free, so the ordering captured at
-/// push time stays valid without rebalancing.
+/// The paper's minimum write count strategy: least-written free cell first,
+/// lowest index among equals. Counts cannot change while a cell is free, so
+/// the ordering captured at push time stays valid without rebalancing. A
+/// cell is free at most once, so the (writes, cell) pairs are unique and the
+/// min-heap pops them in exactly their sorted order.
 class MinWriteAllocator final : public Allocator {
 public:
   void push(Cell cell, std::uint64_t writes) override {
-    by_writes_.emplace(writes, cell);
+    by_writes_.emplace_back(writes, cell);
+    std::push_heap(by_writes_.begin(), by_writes_.end(), std::greater<>{});
   }
   std::optional<Cell> pop() override {
     if (by_writes_.empty()) {
       return std::nullopt;
     }
-    const auto cell = by_writes_.begin()->second;
-    by_writes_.erase(by_writes_.begin());
+    std::pop_heap(by_writes_.begin(), by_writes_.end(), std::greater<>{});
+    const auto cell = by_writes_.back().second;
+    by_writes_.pop_back();
     return cell;
   }
   [[nodiscard]] std::size_t size() const override { return by_writes_.size(); }
 
 private:
-  std::set<std::pair<std::uint64_t, Cell>> by_writes_;
+  std::vector<std::pair<std::uint64_t, Cell>> by_writes_;  ///< min-heap
 };
 
 /// Start-Gap-inspired rotation (Qureshi et al., MICRO 2009; modeled at the

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <functional>
 #include <map>
-#include <set>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -37,7 +38,7 @@ public:
         reachable_(graph.reachable_from_pos()),
         use_count_(graph.num_nodes(), 0),
         cell_of_(graph.num_nodes()),
-        parents_(graph.num_nodes()),
+        parent_begin_(graph.num_nodes() + 1, 0),
         pending_(graph.num_nodes(), 0),
         fanout_level_(graph.num_nodes(), 0),
         key_of_(graph.num_nodes()) {
@@ -48,8 +49,8 @@ public:
     analyze();
     bind_inputs();
     seed_candidates();
-    while (!candidates_.empty()) {
-      const auto gate = pop_candidate();
+    while (const auto candidate = pop_candidate()) {
+      const auto gate = *candidate;
       // Snapshot before translation: compute_gate consumes the fanins'
       // use counts, which would skew info.releasing for the notification.
       const auto info = candidate_info(gate);
@@ -77,11 +78,29 @@ private:
           continue;
         }
         ++use_count_[fanin.index()];
-        parents_[fanin.index()].push_back(gate);
         fanout_level_[fanin.index()] =
             std::max(fanout_level_[fanin.index()], levels[gate]);
         if (mig_.is_gate(fanin.index())) {
           ++pending_[gate];
+        }
+      }
+    }
+    // Parent lists in one flat array (CSR): node n's parents, in ascending
+    // gate order, are parents_[parent_begin_[n] .. parent_begin_[n + 1]).
+    // use_count_ holds only gate-fanin uses here (the PO references are
+    // added below), so it sizes each list.
+    for (std::uint32_t node = 0; node < mig_.num_nodes(); ++node) {
+      parent_begin_[node + 1] = parent_begin_[node] + use_count_[node];
+    }
+    parents_.resize(parent_begin_.back());
+    std::vector<std::uint32_t> fill(parent_begin_.begin(), parent_begin_.end() - 1);
+    for (std::uint32_t gate = mig_.first_gate(); gate < mig_.num_nodes(); ++gate) {
+      if (!reachable_[gate]) {
+        continue;
+      }
+      for (const auto fanin : mig_.fanins(gate)) {
+        if (!fanin.is_constant()) {
+          parents_[fill[fanin.index()]++] = gate;
         }
       }
     }
@@ -151,18 +170,27 @@ private:
     }
   }
 
-  void insert_candidate(std::uint32_t gate) {
-    const auto key = make_key(gate);
-    candidates_.insert(key);
+  // The candidate set is a binary min-heap of keys. `key_of_` holds each
+  // pending gate's current key; a re-keyed gate's older entries stay in the
+  // heap and are discarded when popped. Keys are unique (they end in the gate
+  // index), so the pop order is exactly that of an ordered set.
+
+  void push_key(std::uint32_t gate, const Key& key) {
     key_of_[gate] = key;
+    candidates_.push_back(key);
+    std::push_heap(candidates_.begin(), candidates_.end(), std::greater<>{});
   }
+
+  void insert_candidate(std::uint32_t gate) { push_key(gate, make_key(gate)); }
 
   void refresh_candidate(std::uint32_t gate) {
     if (!key_of_[gate]) {
       return;
     }
-    candidates_.erase(*key_of_[gate]);
-    insert_candidate(gate);
+    const auto key = make_key(gate);
+    if (key != *key_of_[gate]) {
+      push_key(gate, key);
+    }
   }
 
   /// Recomputes every pending candidate's key — requested by stateful
@@ -172,18 +200,31 @@ private:
     for (std::uint32_t gate = mig_.first_gate(); gate < mig_.num_nodes();
          ++gate) {
       if (key_of_[gate]) {
-        insert_candidate(gate);
+        key_of_[gate] = make_key(gate);
+        candidates_.push_back(*key_of_[gate]);
       }
     }
+    std::make_heap(candidates_.begin(), candidates_.end(), std::greater<>{});
   }
 
-  std::uint32_t pop_candidate() {
-    assert(!candidates_.empty());
-    const auto key = *candidates_.begin();
-    candidates_.erase(candidates_.begin());
-    const auto gate = key[3];
-    key_of_[gate].reset();
-    return gate;
+  /// The pending gate with the smallest key, or nullopt when none is left.
+  std::optional<std::uint32_t> pop_candidate() {
+    while (!candidates_.empty()) {
+      std::pop_heap(candidates_.begin(), candidates_.end(), std::greater<>{});
+      const auto key = candidates_.back();
+      candidates_.pop_back();
+      const auto gate = key[3];
+      if (key_of_[gate] == key) {
+        key_of_[gate].reset();
+        return gate;
+      }
+    }
+    return std::nullopt;
+  }
+
+  [[nodiscard]] std::span<const std::uint32_t> parents(std::uint32_t node) const {
+    return std::span(parents_).subspan(parent_begin_[node],
+                                       parent_begin_[node + 1] - parent_begin_[node]);
   }
 
   // ---- emission helpers -----------------------------------------------------
@@ -293,7 +334,8 @@ private:
         std::tuple(kPermutations[best][0], kPermutations[best][1],
                    kPermutations[best][2]);
 
-    std::vector<Cell> temps;
+    std::array<Cell, 2> temps{};  // complement copies feeding A and B
+    std::size_t num_temps = 0;
 
     // Operand A — read as-is.
     Operand op_a;
@@ -305,7 +347,7 @@ private:
         op_a = Operand::cell(cell_of(s.index()));
       } else {
         const auto temp = make_complement_copy(s.index(), false);
-        temps.push_back(temp);
+        temps[num_temps++] = temp;
         op_a = Operand::cell(temp);
       }
     }
@@ -320,7 +362,7 @@ private:
         op_b = Operand::cell(cell_of(s.index()));
       } else {
         const auto temp = make_complement_copy(s.index(), false);
-        temps.push_back(temp);
+        temps[num_temps++] = temp;
         op_b = Operand::cell(temp);
       }
     }
@@ -345,10 +387,9 @@ private:
 
     emit(Instruction{op_a, op_b, dest}, true);
     cell_of_[gate] = dest;
-    computed_[gate] = true;
 
-    for (const auto temp : temps) {
-      allocator_.release(temp);
+    for (std::size_t i = 0; i < num_temps; ++i) {
+      allocator_.release(temps[i]);
     }
 
     // Consume fanin references; release dead values; propagate the
@@ -369,14 +410,14 @@ private:
           cell_of_[node].reset();
         }
       } else if (use_count_[node] == 1) {
-        for (const auto parent : parents_[node]) {
+        for (const auto parent : parents(node)) {
           refresh_candidate(parent);
         }
       }
     }
 
     // Newly computable parents join the candidate set.
-    for (const auto parent : parents_[gate]) {
+    for (const auto parent : parents(gate)) {
       assert(pending_[parent] > 0);
       if (--pending_[parent] == 0) {
         insert_candidate(parent);
@@ -433,12 +474,12 @@ private:
   std::vector<bool> reachable_;
   std::vector<std::uint32_t> use_count_;
   std::vector<std::optional<Cell>> cell_of_;
-  std::vector<std::vector<std::uint32_t>> parents_;
+  std::vector<std::uint32_t> parent_begin_;  ///< CSR offsets, one per node + 1
+  std::vector<std::uint32_t> parents_;
   std::vector<std::uint32_t> pending_;
   std::vector<std::uint32_t> fanout_level_;
   std::vector<std::optional<Key>> key_of_;
-  std::vector<bool> computed_ = std::vector<bool>(mig_.num_nodes(), false);
-  std::set<Key> candidates_;
+  std::vector<Key> candidates_;  ///< min-heap, may hold stale entries
   std::size_t gate_instructions_ = 0;
   std::size_t overhead_instructions_ = 0;
 };

@@ -6,6 +6,7 @@
 #include "mig/simulate.hpp"
 #include "plim/compiler.hpp"
 #include "plim/controller.hpp"
+#include "golden.hpp"
 #include "test_helpers.hpp"
 
 namespace rlim::plim {
@@ -389,6 +390,117 @@ TEST(Compiler, HugeWearQuotaMatchesEnduranceAware) {
           .compile(graph);
   EXPECT_EQ(quota.num_instructions(), endurance.num_instructions());
   EXPECT_DOUBLE_EQ(quota.write_stats.stdev, endurance.write_stats.stdev);
+}
+
+// ---- golden pins --------------------------------------------------------------
+
+struct CompileGolden {
+  const char* selector;
+  const char* allocator;
+  std::uint64_t cap;  ///< max_writes, 0 = uncapped
+  std::uint64_t digest;
+};
+
+/// Folded program bytes + CompileResult statistics of every registered
+/// selector x allocator, uncapped and under caps 4 and 10, over the mini
+/// suite as built and after endurance rewriting. Cap 4 leaves one write of
+/// slack for the 3-write copy idioms, so `acquire` rejects and restores
+/// free cells constantly; wear_quota refreshes every candidate key each time
+/// a level crosses its quota. Recorded before the candidate set and the
+/// min-write free set became heaps.
+constexpr CompileGolden kCompileGoldens[] = {
+    {"endurance", "fifo", 0, 0x4c5fcef745dcfcffULL},
+    {"endurance", "fifo", 4, 0x0944ae57508d7a25ULL},
+    {"endurance", "fifo", 10, 0x533c1645d9e46395ULL},
+    {"endurance", "lifo", 0, 0xddff616002b4f6a6ULL},
+    {"endurance", "lifo", 4, 0x104e68b2dab462caULL},
+    {"endurance", "lifo", 10, 0x6fd65cf1cecc8123ULL},
+    {"endurance", "min_write", 0, 0x2bc690b214bbdddaULL},
+    {"endurance", "min_write", 4, 0x91e8ab783c806c15ULL},
+    {"endurance", "min_write", 10, 0x01353cefde6859d2ULL},
+    {"endurance", "round_robin", 0, 0xfb2ddc1db31252eaULL},
+    {"endurance", "round_robin", 4, 0xb83596ad57f2aeeaULL},
+    {"endurance", "round_robin", 10, 0xcdfc1766a5f7873bULL},
+    {"endurance", "start_gap", 0, 0x0a1ab372da47d11eULL},
+    {"endurance", "start_gap", 4, 0xd6a272088b9a05b1ULL},
+    {"endurance", "start_gap", 10, 0x11ba777d4c578f4bULL},
+    {"naive", "fifo", 0, 0xf9ae3abe371a1fcdULL},
+    {"naive", "fifo", 4, 0x6b320c60c5aff8cbULL},
+    {"naive", "fifo", 10, 0xf54b20787af49b89ULL},
+    {"naive", "lifo", 0, 0x11c66c5dba7202caULL},
+    {"naive", "lifo", 4, 0xcd046cebad15cd7fULL},
+    {"naive", "lifo", 10, 0x37cb308112499d70ULL},
+    {"naive", "min_write", 0, 0x8a37eea55dfd775aULL},
+    {"naive", "min_write", 4, 0x7ed1fd8302304fd7ULL},
+    {"naive", "min_write", 10, 0x9ab0869354ece997ULL},
+    {"naive", "round_robin", 0, 0x8728132947f992a5ULL},
+    {"naive", "round_robin", 4, 0x06a6b2e66263afcfULL},
+    {"naive", "round_robin", 10, 0x06190627987e3e30ULL},
+    {"naive", "start_gap", 0, 0x40c4cde75bc790d6ULL},
+    {"naive", "start_gap", 4, 0x188d4d41e14389b7ULL},
+    {"naive", "start_gap", 10, 0xecda67fffe5ba140ULL},
+    {"plim21", "fifo", 0, 0x8a38343e80f2b3f5ULL},
+    {"plim21", "fifo", 4, 0xc404d01064e835cdULL},
+    {"plim21", "fifo", 10, 0x19a97edfe56e0e7bULL},
+    {"plim21", "lifo", 0, 0x0a724e9f1b4b2395ULL},
+    {"plim21", "lifo", 4, 0x66d77681902e040dULL},
+    {"plim21", "lifo", 10, 0xa48331b4b2de1c4bULL},
+    {"plim21", "min_write", 0, 0x65208534112374c9ULL},
+    {"plim21", "min_write", 4, 0x1a6a18e295395c95ULL},
+    {"plim21", "min_write", 10, 0x793aaf388a0945bfULL},
+    {"plim21", "round_robin", 0, 0x88eb7bcd92accfd1ULL},
+    {"plim21", "round_robin", 4, 0xddd10ff3bb67def0ULL},
+    {"plim21", "round_robin", 10, 0x7bfe69ef292b7de4ULL},
+    {"plim21", "start_gap", 0, 0xd02a224e0c59e3a7ULL},
+    {"plim21", "start_gap", 4, 0x26ae3a7e1885b15aULL},
+    {"plim21", "start_gap", 10, 0x3ce33b53f0157419ULL},
+    {"wear_quota", "fifo", 0, 0x837952599b75f93aULL},
+    {"wear_quota", "fifo", 4, 0x993abcec1d244e9eULL},
+    {"wear_quota", "fifo", 10, 0xbcc8cf89be753424ULL},
+    {"wear_quota", "lifo", 0, 0xb6ce7e311a36a04eULL},
+    {"wear_quota", "lifo", 4, 0xccd105aabeb22ab8ULL},
+    {"wear_quota", "lifo", 10, 0x168cd2c1a2d87833ULL},
+    {"wear_quota", "min_write", 0, 0x3ab5e5cca68842bbULL},
+    {"wear_quota", "min_write", 4, 0x87a94fb445a644cdULL},
+    {"wear_quota", "min_write", 10, 0x6f531fee1da9c861ULL},
+    {"wear_quota", "round_robin", 0, 0x695da3c44d759cf1ULL},
+    {"wear_quota", "round_robin", 4, 0xdd554a8b7d7fb57cULL},
+    {"wear_quota", "round_robin", 10, 0x47db8a963dd7208eULL},
+    {"wear_quota", "start_gap", 0, 0xec3ba1d17a0ae6d3ULL},
+    {"wear_quota", "start_gap", 4, 0x50cf76944d4a10a6ULL},
+    {"wear_quota", "start_gap", 10, 0x00545b3d4ea8dec7ULL},
+};
+
+TEST(CompilerGolden, EverySelectorAllocatorAndCapIsPinned) {
+  auto graphs = test::mini_suite_graphs();
+  const auto endurance = mig::make_rewrite(util::PolicySpec{"endurance", {}});
+  for (std::size_t i = 0, n = graphs.size(); i < n; ++i) {
+    graphs.push_back(endurance(graphs[i], nullptr));
+  }
+  std::size_t pinned = 0;
+  for (const auto& golden : kCompileGoldens) {
+    CompilerOptions options;
+    const std::string selector = golden.selector;
+    const std::string allocator = golden.allocator;
+    options.selector = [selector] {
+      return make_selector(util::PolicySpec{selector, {}});
+    };
+    options.allocator = [allocator] {
+      return make_allocator(util::PolicySpec{allocator, {}});
+    };
+    if (golden.cap != 0) {
+      options.max_writes = golden.cap;
+    }
+    util::Fnv1a64 hash;
+    for (const auto& graph : graphs) {
+      test::fold_compile(hash, PlimCompiler(options).compile(graph));
+    }
+    EXPECT_EQ(hash.digest(), golden.digest)
+        << selector << " x " << allocator << " cap " << golden.cap;
+    ++pinned;
+  }
+  // Every registered combination is pinned, at all three caps.
+  EXPECT_EQ(pinned, selectors().list().size() * allocators().list().size() * 3);
 }
 
 }  // namespace

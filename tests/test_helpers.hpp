@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -39,6 +40,21 @@ inline mig::Mig random_mig(std::uint64_t seed, std::uint32_t num_pis,
     graph.create_po(pool[idx] ^ rng.chance(1, 4));
   }
   return graph;
+}
+
+/// An in-place pass's outcome on a copy of its input.
+struct Applied {
+  mig::Mig mig;
+  std::size_t applications = 0;
+};
+
+/// Runs the in-place pass `fn` (`std::size_t fn(Mig&)`) on a copy of
+/// `input`, leaving `input` as it was.
+template <typename Fn>
+Applied apply_pass(Fn fn, const mig::Mig& input) {
+  Applied out{input};
+  out.applications = fn(out.mig);
+  return out;
 }
 
 }  // namespace rlim::test

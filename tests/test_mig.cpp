@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mig/mig.hpp"
 #include "mig/simulate.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace rlim::mig {
@@ -184,6 +187,18 @@ TEST(Mig, FanoutListsContainParents) {
   ASSERT_EQ(lists[g.index()].size(), 1u);
   EXPECT_EQ(lists[g.index()][0], h.index());
   EXPECT_EQ(lists[a.index()].size(), 2u);
+}
+
+TEST(Mig, HasDeadGatesMatchesReachability) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto graph = test::random_mig(seed, 8, 60, 1 + seed % 4);
+    const auto reachable = graph.reachable_from_pos();
+    const bool any_dead =
+        std::find(reachable.begin() + graph.first_gate(), reachable.end(),
+                  false) != reachable.end();
+    EXPECT_EQ(graph.has_dead_gates(), any_dead) << "seed " << seed;
+    EXPECT_FALSE(graph.cleanup().has_dead_gates()) << "seed " << seed;
+  }
 }
 
 TEST(Mig, LevelsAndDepth) {
@@ -415,8 +430,9 @@ TEST(MigAdoptRaw, RoundTripsStructureNamesAndMetadata) {
   const auto original = small_graph();
   auto adopted = Mig::adopt_raw(raw_of(original));
   EXPECT_EQ(adopted.fingerprint(), original.fingerprint());
-  EXPECT_EQ(adopted.levels(), original.levels());
-  EXPECT_EQ(adopted.fanout_counts(), original.fanout_counts());
+  EXPECT_TRUE(std::ranges::equal(adopted.levels(), original.levels()));
+  EXPECT_TRUE(
+      std::ranges::equal(adopted.fanout_counts(), original.fanout_counts()));
   EXPECT_EQ(adopted.complement_edge_count(), original.complement_edge_count());
   EXPECT_EQ(adopted.pi_name(0), "a");
   EXPECT_EQ(adopted.po_name(0), "out");

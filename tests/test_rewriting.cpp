@@ -6,6 +6,8 @@
 #include "mig/axioms.hpp"
 #include "mig/rewriting.hpp"
 #include "mig/simulate.hpp"
+#include "golden.hpp"
+#include "pass/pass.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -159,7 +161,7 @@ TEST(Rewriting, LevelBalancePassReducesDepthOnChains) {
   }
   mig.create_po(acc);
   const auto before = mig.depth();
-  const auto result = pass_level_balance(mig);
+  const auto result = test::apply_pass(pass_level_balance, mig);
   EXPECT_GE(result.applications, 1u);
   EXPECT_TRUE(equivalent_exhaustive(mig, result.mig));
   EXPECT_LE(result.mig.depth(), before);
@@ -168,7 +170,7 @@ TEST(Rewriting, LevelBalancePassReducesDepthOnChains) {
 TEST(Rewriting, LevelBalancePreservesRandomFunctions) {
   for (std::uint64_t seed = 60; seed < 70; ++seed) {
     const auto mig = test::random_mig(seed, 10, 120, 5);
-    const auto result = pass_level_balance(mig);
+    const auto result = test::apply_pass(pass_level_balance, mig);
     EXPECT_TRUE(equivalent_random(mig, result.mig, 12, seed)) << "seed " << seed;
   }
 }
@@ -180,6 +182,52 @@ TEST(Rewriting, StatsAccumulateApplications) {
   EXPECT_GT(stats.total_applications, 0u);
   EXPECT_GE(stats.cycles_run, 1);
   EXPECT_LE(stats.cycles_run, 5);
+}
+
+// ---- golden pins ------------------------------------------------------------
+
+/// Folded fingerprint + RewriteStats (wall time excluded) of each flow and
+/// each single-pass `seq`, over the mini suite and over random graphs with
+/// dead gates. Recorded before the axiom passes learned to leave an idle
+/// graph untouched; any change to what a flow produces or reports moves them.
+struct RewriteGolden {
+  const char* spec;
+  std::uint64_t mini;
+  std::uint64_t dead;
+};
+
+constexpr RewriteGolden kRewriteGoldens[] = {
+    {"plim21", 0xc87f152088e9645cULL, 0x2f50d3b826d8d5c7ULL},
+    {"endurance", 0x675b9d78569dae16ULL, 0x002ac1eb502e3ff0ULL},
+    {"level_balanced", 0xd6f94bb73f975646ULL, 0x853cd8ab0db1fd4aULL},
+    {"seq:passes=maj", 0x9c32220a5ee476d5ULL, 0x4709ad48daf791e7ULL},
+    {"seq:passes=dist", 0x7ed6cb0969769ff7ULL, 0x6d1c9d60ff0d5ac0ULL},
+    {"seq:passes=assoc", 0x6cfa494d8c5d9ce5ULL, 0x8aab5baa3a811354ULL},
+    {"seq:passes=comp", 0x1bc283f049dce663ULL, 0x32a9b5b65961bcf4ULL},
+    {"seq:passes=inv", 0x982af14e8f2e98b5ULL, 0x981d87e780c9d413ULL},
+    {"seq:passes=inv3", 0x29d54ccda932b10bULL, 0x11a3c29263db50b1ULL},
+    {"seq:passes=relief", 0xfaa8a299a3e22d39ULL, 0x5d6569393a21074dULL},
+    {"seq:passes=cleanup", 0x7baac6f2bc5efe31ULL, 0x63ebafc8352fe52fULL},
+};
+
+TEST(RewriteGolden, FlowsAndSinglePassSequencesArePinned) {
+  pass::ensure_registered();
+  const auto mini = test::mini_suite_graphs();
+  const auto dead = test::dead_gate_graphs();
+  for (const auto& golden : kRewriteGoldens) {
+    const auto flow = make_rewrite(util::PolicySpec::parse(golden.spec));
+    const auto digest = [&](const std::vector<Mig>& graphs) {
+      util::Fnv1a64 hash;
+      for (const auto& graph : graphs) {
+        RewriteStats stats;
+        const auto out = flow(graph, &stats);
+        test::fold_rewrite(hash, out, stats);
+      }
+      return hash.digest();
+    };
+    EXPECT_EQ(digest(mini), golden.mini) << golden.spec << " on the mini suite";
+    EXPECT_EQ(digest(dead), golden.dead) << golden.spec << " on dead-gate graphs";
+  }
 }
 
 }  // namespace
